@@ -30,55 +30,16 @@ type benchPreset struct {
 	Parallel   *benchLeg `json:"parallel,omitempty"`
 }
 
-// runBenchJSON benchmarks the resolved scenario: iters timed iterations,
-// each a full Build outside the timer followed by run + collect inside
-// it (the discipline the repo's BENCH_PR*.json documents use), and
-// writes a document in that same schema to out ("-" = stdout). Medians
-// over the iterations keep one descheduling hiccup from skewing the
-// figures.
+// runBenchJSON benchmarks the resolved scenario (see benchScenario) and
+// writes a document in the schema of the repo's BENCH_PR*.json
+// documents to out ("-" = stdout).
 func runBenchJSON(spec scenario.Spec, iters int, out string, status *obs.Status) error {
 	if iters < 1 {
 		iters = 1
 	}
-	if err := spec.Validate(); err != nil {
+	leg, parallel, err := benchScenario(spec, iters, status)
+	if err != nil {
 		return err
-	}
-	walls := make([]float64, 0, iters)
-	nsPerEv := make([]float64, 0, iters)
-	allocsPerEv := make([]float64, 0, iters)
-	var fired uint64
-	parallel := false
-	for i := 0; i < iters; i++ {
-		inst, err := scenario.Build(spec)
-		if err != nil {
-			return err
-		}
-		horizon := inst.Spec.Duration.D()
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		inst.Net.Run(horizon)
-		inst.Collect(horizon)
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		fired = inst.Net.Fired()
-		parallel = inst.Net.Exec != nil
-		if fired == 0 {
-			return fmt.Errorf("bench: scenario %q fired no events", spec.Name)
-		}
-		walls = append(walls, float64(wall)/float64(time.Millisecond))
-		nsPerEv = append(nsPerEv, float64(wall)/float64(fired))
-		allocsPerEv = append(allocsPerEv, float64(m1.Mallocs-m0.Mallocs)/float64(fired))
-		status.Progressf("bench %d/%d  (%.1f ms, %.1f ns/event)", i+1, iters, walls[i], nsPerEv[i])
-	}
-	status.Done()
-
-	leg := &benchLeg{
-		MsPerIteration:        round1(median(walls)),
-		NsPerLogicalEvent:     round1(median(nsPerEv)),
-		LogicalEventsPerRun:   fired,
-		AllocsPerLogicalEvent: round2(median(allocsPerEv)),
 	}
 	entry := benchPreset{Preset: spec.Name}
 	if parallel {
@@ -111,6 +72,63 @@ func runBenchJSON(spec scenario.Spec, iters int, out string, status *obs.Status)
 		return err
 	}
 	return f.Close()
+}
+
+// benchScenario times iters iterations of spec, each a full Build
+// outside the timer followed by run + collect inside it (the discipline
+// the repo's BENCH_PR*.json documents use), and reports whether the
+// spec ran on the parallel kernel. Medians over the iterations keep one
+// descheduling hiccup from skewing the figures. The per-event figures
+// divide by scenario.LogicalEvents; a parallel run takes that count
+// from an untimed sequential run of the same spec and seed, because
+// its own Fired count includes the executor's cross-region deliveries.
+func benchScenario(spec scenario.Spec, iters int, status *obs.Status) (*benchLeg, bool, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, false, err
+	}
+	walls := make([]float64, 0, iters)
+	nsPerEv := make([]float64, 0, iters)
+	allocsPerEv := make([]float64, 0, iters)
+	var logical uint64
+	parallel := false
+	for i := 0; i < iters; i++ {
+		inst, err := scenario.Build(spec)
+		if err != nil {
+			return nil, false, err
+		}
+		horizon := inst.Spec.Duration.D()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
+		inst.Net.Run(horizon)
+		inst.Collect(horizon)
+		wall := time.Since(t0)
+		runtime.ReadMemStats(&m1)
+		parallel = inst.Net.Exec != nil
+		switch {
+		case !parallel:
+			logical = scenario.LogicalEvents(inst)
+		case logical == 0:
+			if logical, err = scenario.SequentialLogicalEvents(spec); err != nil {
+				return nil, false, err
+			}
+		}
+		if logical == 0 {
+			return nil, false, fmt.Errorf("bench: scenario %q did no logical work", spec.Name)
+		}
+		walls = append(walls, float64(wall)/float64(time.Millisecond))
+		nsPerEv = append(nsPerEv, float64(wall)/float64(logical))
+		allocsPerEv = append(allocsPerEv, float64(m1.Mallocs-m0.Mallocs)/float64(logical))
+		status.Progressf("bench %d/%d  (%.1f ms, %.1f ns/logical event)", i+1, iters, walls[i], nsPerEv[i])
+	}
+	status.Done()
+	return &benchLeg{
+		MsPerIteration:        round1(median(walls)),
+		NsPerLogicalEvent:     round1(median(nsPerEv)),
+		LogicalEventsPerRun:   logical,
+		AllocsPerLogicalEvent: round2(median(allocsPerEv)),
+	}, parallel, nil
 }
 
 func writeBenchDoc(w *os.File, doc map[string]any) error {

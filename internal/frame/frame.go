@@ -70,9 +70,19 @@ func (a Addr) IsBroadcast() bool { return a == Broadcast }
 // IsGroup reports whether a is a group (multicast or broadcast) address.
 func (a Addr) IsGroup() bool { return a[0]&1 == 1 }
 
-// String renders the address in colon-hex notation.
+// String renders the address in colon-hex notation. It is hand-written
+// rather than formatted because every station's build names its MAC's
+// RNG stream after it, and fmt dominated that cost at city scale.
 func (a Addr) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+	const hex = "0123456789abcdef"
+	var b [17]byte
+	for i, v := range a {
+		if i > 0 {
+			b[3*i-1] = ':'
+		}
+		b[3*i], b[3*i+1] = hex[v>>4], hex[v&0xf]
+	}
+	return string(b[:])
 }
 
 // Frame is one MAC frame. Control frames (ACK, CTS) carry only Addr1;

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -181,6 +182,30 @@ func TestDecodeGarbage(t *testing.T) {
 		rng.Read(buf)
 		if f, err := Decode(buf); err == nil {
 			t.Fatalf("garbage decoded as %v", f)
+		}
+	}
+}
+
+// TestAddrStringMatchesFmt pins the hand-written colon-hex rendering to
+// the fmt form it replaced, byte for byte: the string names every MAC's
+// RNG stream, so any difference would re-key the backoff draws.
+func TestAddrStringMatchesFmt(t *testing.T) {
+	want := func(a Addr) string {
+		return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+	}
+	addrs := []Addr{{}, Broadcast, {0x00, 0xff, 0x00, 0xff, 0x00, 0xff}, {0x0f, 0xf0, 0x10, 0x01, 0xa5, 0x5a}}
+	for _, id := range []uint32{0, 1, 255, 256, 1<<24 - 1, 1 << 24, 1<<32 - 1} {
+		addrs = append(addrs, AddrFromID(id))
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 1000; i++ {
+		var a Addr
+		rng.Read(a[:])
+		addrs = append(addrs, a)
+	}
+	for _, a := range addrs {
+		if got, w := a.String(), want(a); got != w {
+			t.Fatalf("Addr%v.String() = %q, want %q", [6]byte(a), got, w)
 		}
 	}
 }

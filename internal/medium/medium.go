@@ -101,11 +101,6 @@ type Medium struct {
 	soaMove  []uint64
 	soaIrrel []float64
 
-	// gainRows is the link-gain cache: one row per transmitter slot,
-	// indexed by receiver slot, rows allocated lazily on first
-	// transmission (see linkGain).
-	gainRows [][]linkGain
-
 	// idsMonotone records whether radio ids ascend in slot order — true
 	// for node-built networks, which assign ids sequentially. It lets
 	// sortCandidates order slots directly instead of through the id
@@ -134,8 +129,8 @@ type Medium struct {
 	gainSeed uint64
 
 	// gainCacheOff forces the direct per-arrival PHY computation, the
-	// pre-cache reference path (SetGainCache). The cache itself is
-	// gainRows above, indexed by transmitter then receiver slot, so a
+	// pre-cache reference path (SetGainCache). The cache itself lives on
+	// the transmitters (Radio.gains), one entry per candidate, so a
 	// hot-path lookup is an array index rather than a map probe.
 	gainCacheOff bool
 
@@ -165,15 +160,46 @@ type Medium struct {
 	Deliveries    uint64
 	PHYErrors     uint64
 
-	// Out-of-band cache-efficiency counters (Stats). Plain fields: in
-	// sequential mode one goroutine owns the medium; in parallel mode
-	// the hot paths increment the per-region shard mirrors instead and
-	// FoldCounters folds them here at the post-join point. They are
-	// observability only — nothing reads them on a simulation path.
+	// lane is the sequential-mode event loop's counters and rebuild
+	// scratch; in parallel mode each shard's lane takes its place and
+	// FoldCounters folds the counters here at the post-join point.
+	lane
+}
+
+// lane is the medium state one event-loop goroutine owns: the
+// out-of-band cache-efficiency counters behind Stats, and the scratch a
+// candidate-memo rebuild stages its new list and link-gain row in. The
+// medium holds one for sequential mode; in parallel mode every region
+// shard holds its own, so none of it needs atomics. The counters are
+// observability only — nothing reads them on a simulation path.
+type lane struct {
 	gainHits, gainMisses     uint64
 	fanReplays, fanBuilds    uint64
 	candReuses, candRebuilds uint64
 	soaRescans               uint64
+
+	candBuf []uint32
+	gainBuf []linkGain
+}
+
+// clearCounters zeroes the lane's counters, keeping its scratch.
+func (l *lane) clearCounters() {
+	l.gainHits, l.gainMisses = 0, 0
+	l.fanReplays, l.fanBuilds = 0, 0
+	l.candReuses, l.candRebuilds = 0, 0
+	l.soaRescans = 0
+}
+
+// fold adds o's counters into l and zeroes o's.
+func (l *lane) fold(o *lane) {
+	l.gainHits += o.gainHits
+	l.gainMisses += o.gainMisses
+	l.fanReplays += o.fanReplays
+	l.fanBuilds += o.fanBuilds
+	l.candReuses += o.candReuses
+	l.candRebuilds += o.candRebuilds
+	l.soaRescans += o.soaRescans
+	o.clearCounters()
 }
 
 // Stats is a point-in-time copy of the medium's counters, the raw
@@ -266,9 +292,9 @@ func (m *Medium) SetIncremental(on bool) {
 // invalidateGains marks every link-gain entry stale without releasing
 // the allocated per-transmitter rows.
 func (m *Medium) invalidateGains() {
-	for _, row := range m.gainRows {
-		for i := range row {
-			row[i].have = 0
+	for _, r := range m.radios {
+		for i := range r.gains {
+			r.gains[i].have = 0
 		}
 	}
 }
@@ -296,10 +322,7 @@ func (m *Medium) invalidateGains() {
 // Radio.Reset.
 func (m *Medium) Reset() {
 	m.Transmissions, m.Deliveries, m.PHYErrors = 0, 0, 0
-	m.gainHits, m.gainMisses = 0, 0
-	m.fanReplays, m.fanBuilds = 0, 0
-	m.candReuses, m.candRebuilds = 0, 0
-	m.soaRescans = 0
+	m.lane.clearCounters()
 	if seed := m.src.Seed(); seed != m.gainSeed {
 		m.gainSeed = seed
 		m.invalidateGains()
@@ -356,37 +379,29 @@ func (g *linkGain) milliwatt(dbm float64) float64 {
 
 // linkPower returns the instantaneous received power in dBm for the
 // directed link from the given radio to the receiver in slot rxSlot at
-// time now, served from the link-gain cache (the returned entry
-// memoizes the linear form; nil when the cache is disabled). The
-// receiver side is read entirely from the slot-indexed SoA arrays. The
-// composition — path-loss base plus static shadow plus epoch fade,
-// summed in that order, then the fault engine's degradation offset when
-// a timeline is installed — mirrors phy.Profile.RxPowerDBm exactly, so
-// a cache hit is bit-identical to the direct computation the
-// gainCacheOff path performs (which decomposes to the same ordered sum
-// when degradation is active).
-func (m *Medium) linkPower(from *Radio, rxSlot int32, now time.Duration) (float64, *linkGain) {
+// time now, served from g, the transmitter's cache entry for that
+// receiver (its row position for the receiver in Radio.gains), which
+// also memoizes the linear form. A nil g is the cache-disabled
+// reference path, which computes directly. The receiver side is read
+// entirely from the slot-indexed SoA arrays. The composition —
+// path-loss base plus static shadow plus epoch fade, summed in that
+// order, then the fault engine's degradation offset when a timeline is
+// installed — mirrors phy.Profile.RxPowerDBm exactly, so a cache hit is
+// bit-identical to the direct computation (which decomposes to the same
+// ordered sum when degradation is active).
+func (m *Medium) linkPower(from *Radio, g *linkGain, rxSlot int32, now time.Duration) float64 {
 	rxID := uint64(m.soaID[rxSlot])
-	if m.gainCacheOff {
+	if g == nil {
 		d := phy.Dist(from.pos, m.soaPos[rxSlot])
 		if dg := m.deg; dg != nil {
 			// Degradation composes after the shadowing sum — the same
 			// association as the cached path's base + ((static+fade)+deg).
 			shadow := from.profile.Fading.ShadowDB(m.src, uint64(from.id), rxID, now)
 			shadow += dg.linkOffset(from.slot, rxSlot, now)
-			return from.profile.MeanRxPowerDBm(d) + shadow, nil
+			return from.profile.MeanRxPowerDBm(d) + shadow
 		}
-		return from.profile.RxPowerDBm(m.src, uint64(from.id), rxID, d, now), nil
+		return from.profile.RxPowerDBm(m.src, uint64(from.id), rxID, d, now)
 	}
-	// The per-transmitter row is sized lazily: only radios that
-	// actually transmit pay for one, and the row grows only when the
-	// radio set has grown since.
-	row := m.gainRows[from.slot]
-	if int(rxSlot) >= len(row) {
-		row = append(row, make([]linkGain, len(m.radios)-len(row))...)
-		m.gainRows[from.slot] = row
-	}
-	g := &row[rxSlot]
 	// Hit/miss classification: the cache exists to skip the
 	// transcendental path-loss base (PR 4), so a lookup is a miss only
 	// when that base recomputes. Fade/degradation epoch refreshes are
@@ -432,22 +447,15 @@ func (m *Medium) linkPower(from *Radio, rxSlot int32, now time.Duration) (float6
 		}
 		shadow += g.degDB
 	}
-	// Hit/miss bookkeeping: linkPower only ever runs on the transmitter's
-	// owning goroutine (its region's, in parallel mode — the same
-	// discipline that makes the row mutation above safe), so the plain
-	// shard/medium counters need no atomics.
-	if sh := from.shard; sh != nil {
-		if miss {
-			sh.gainMisses++
-		} else {
-			sh.gainHits++
-		}
-	} else if miss {
-		m.gainMisses++
+	// linkPower only ever runs on the transmitter's owning goroutine (its
+	// region's, in parallel mode — the same discipline that makes the row
+	// mutation above safe), so the lane counters need no atomics.
+	if ln := from.lane(); miss {
+		ln.gainMisses++
 	} else {
-		m.gainHits++
+		ln.gainHits++
 	}
-	return g.baseDBm + shadow, g
+	return g.baseDBm + shadow
 }
 
 // ensureIndex rebuilds the neighbor grid if the radio set changed since
@@ -529,7 +537,7 @@ type Radio struct {
 
 	// slot is this radio's dense index in Medium.radios and in the
 	// medium's slot-indexed SoA arrays (positions, mobility epochs,
-	// irrelevance cuts, link-gain rows).
+	// irrelevance cuts).
 	slot int32
 
 	// Parallel partition bindings (zero in sequential mode): the radio's
@@ -557,12 +565,20 @@ type Radio struct {
 
 	// cand memoizes this radio's sorted candidate slot list from the
 	// spatial index — the receivers within its relevance radius, in
-	// dispatch order. Valid while candEpoch matches the medium's
-	// posEpoch; any geometry change invalidates every memo at once. In
-	// partitioned mode the memo is touched only by the region goroutine
-	// servicing this radio's transmissions, so it stays race-free.
+	// dispatch order; every slot in slot order when there is no index.
+	// Valid while candEpoch matches the medium's posEpoch; any geometry
+	// change invalidates every memo at once. In partitioned mode the
+	// memo is touched only by the region goroutine servicing this
+	// radio's transmissions, so it stays race-free.
 	cand      []uint32
 	candEpoch uint64
+
+	// gains is this radio's row of the link-gain cache, parallel to
+	// cand: gains[k] caches the link to the receiver in slot cand[k].
+	// A row costs one entry per candidate, not per radio on the field,
+	// and a candidate rebuild carries every surviving receiver's entry
+	// over (see carryGains). Same ownership as cand.
+	gains []linkGain
 
 	// fan memoizes this radio's full propagation fan-out: the candidates
 	// that survive the irrelevance cut, with both power forms and the
@@ -765,7 +781,6 @@ func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h H
 	m.soaPos = append(m.soaPos, pos)
 	m.soaMove = append(m.soaMove, 0)
 	m.soaIrrel = append(m.soaIrrel, r.irrelevantDBm)
-	m.gainRows = append(m.gainRows, nil)
 	m.indexDirty = true
 	m.posEpoch++
 	return r
@@ -773,6 +788,16 @@ func (m *Medium) AddRadio(id uint32, pos phy.Position, profile *phy.Profile, h H
 
 // ID returns the radio identifier.
 func (r *Radio) ID() uint32 { return r.id }
+
+// lane returns the counters and scratch of the goroutine that runs this
+// radio's events: its region shard's in partitioned mode, the medium's
+// otherwise.
+func (r *Radio) lane() *lane {
+	if sh := r.shard; sh != nil {
+		return &sh.lane
+	}
+	return &r.m.lane
+}
 
 // Pos returns the radio's current position.
 func (r *Radio) Pos() phy.Position { return r.pos }
@@ -889,51 +914,7 @@ func (r *Radio) Transmit(f *frame.Frame, rate phy.Rate) time.Duration {
 
 	tx := m.newTransmission(r, f, rate, now+air)
 	m.ensureIndex()
-	if m.index == nil {
-		for slot := range m.radios {
-			m.propagate(tx, r, int32(slot), now)
-		}
-	} else {
-		// Candidate cells are visited in deterministic grid order; the
-		// gathered slots are then put in ascending-id dispatch order,
-		// which coincides with the exhaustive path's insertion order for
-		// node-built networks (ids are assigned sequentially), keeping
-		// fixed-seed runs bit-identical across the index. The sorted list
-		// is memoized per transmitter: both steps are pure functions of
-		// the geometry, so while posEpoch stands still the memo IS the
-		// fresh query.
-		slots := r.cand
-		if r.candEpoch != m.posEpoch {
-			slots = m.index.AppendWithin(r.cand[:0], r.pos, r.reach)
-			m.sortCandidates(slots)
-			r.cand = slots
-			r.candEpoch = m.posEpoch
-			m.candRebuilds++
-		} else {
-			m.candReuses++
-		}
-		var fade uint64
-		if pf := &r.profile.Fading; pf.SigmaDB != 0 {
-			fade = pf.FadeEpoch(now)
-		}
-		var degE uint64
-		if m.deg != nil {
-			degE = m.deg.globalEpoch(now)
-		}
-		if !m.gainCacheOff && r.fanEpoch == m.posEpoch && r.fanFade == fade && r.fanDeg == degE {
-			tx.targets = append(tx.targets, r.fan...)
-			m.fanReplays++
-		} else {
-			for _, slot := range slots {
-				m.propagate(tx, r, int32(slot), now)
-			}
-			if !m.gainCacheOff {
-				r.fan = append(r.fan[:0], tx.targets...)
-				r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
-			}
-			m.fanBuilds++
-		}
-	}
+	m.fanOut(r, tx, now)
 	r.txEndPending = m.sched.AtAction(now+air, &r.txEnd)
 	if len(tx.targets) == 0 {
 		// Nobody in earshot: the descriptor never entered any receiver's
@@ -946,6 +927,123 @@ func (r *Radio) Transmit(f *frame.Frame, rate phy.Rate) time.Duration {
 		m.sched.AtAction(now+air+phy.PropDelay, &tx.trail)
 	}
 	return air
+}
+
+// fanOut appends r's receiver set for a transmission starting at now to
+// tx.targets, in dispatch order. It is the one propagation path of both
+// kernels: the sequential Transmit and the partitioned partTransmit
+// differ only in what they do with the targets afterwards.
+//
+// The fan-out memo (Radio.fan) replays the whole set when the geometry,
+// r's fade epoch and the degradation epoch all stand still since it was
+// recorded; each target is a pure function of those, so the replay is
+// bit-identical to re-probing every candidate. Otherwise every candidate
+// is probed through its link-gain entry and the memo is re-recorded.
+func (m *Medium) fanOut(r *Radio, tx *transmission, now time.Duration) {
+	ln := r.lane()
+	slots := m.candidates(r, ln)
+	var fade uint64
+	if pf := &r.profile.Fading; pf.SigmaDB != 0 {
+		fade = pf.FadeEpoch(now)
+	}
+	var degE uint64
+	if m.deg != nil {
+		degE = m.deg.globalEpoch(now)
+	}
+	if !m.gainCacheOff && r.fanEpoch == m.posEpoch && r.fanFade == fade && r.fanDeg == degE {
+		tx.targets = append(tx.targets, r.fan...)
+		ln.fanReplays++
+		return
+	}
+	if cap(tx.targets) < len(slots) {
+		tx.targets = make([]arrivalTarget, 0, len(slots))
+	}
+	for k, slot := range slots {
+		var g *linkGain
+		if !m.gainCacheOff {
+			g = &r.gains[k]
+		}
+		m.propagate(tx, r, g, int32(slot), now)
+	}
+	if !m.gainCacheOff {
+		r.fan = append(r.fan[:0], tx.targets...)
+		r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
+	}
+	ln.fanBuilds++
+}
+
+// candidates returns r's candidate slot list, rebuilding the memo when
+// the geometry changed since it was taken. With the spatial index, the
+// candidate cells are visited in deterministic grid order and the
+// gathered slots are then put in ascending-id dispatch order, which
+// coincides with the exhaustive path's insertion order for node-built
+// networks (ids are assigned sequentially), keeping fixed-seed runs
+// bit-identical across the index. Without it, every slot is a candidate
+// in slot order. Both steps are pure functions of the geometry, so
+// while posEpoch stands still the memo IS the fresh query.
+func (m *Medium) candidates(r *Radio, ln *lane) []uint32 {
+	if r.candEpoch == m.posEpoch {
+		ln.candReuses++
+		return r.cand
+	}
+	next := ln.candBuf[:0]
+	if m.index == nil {
+		for slot := range m.radios {
+			next = append(next, uint32(slot))
+		}
+	} else {
+		next = m.index.AppendWithin(next, r.pos, r.reach)
+		m.sortCandidates(next)
+	}
+	ln.candBuf = next
+	if !slices.Equal(next, r.cand) {
+		m.carryGains(r, next, ln)
+		r.cand = resize(r.cand, len(next))
+		copy(r.cand, next)
+	}
+	r.candEpoch = m.posEpoch
+	ln.candRebuilds++
+	return r.cand
+}
+
+// carryGains re-keys r's link-gain row to next, the candidate list about
+// to replace r.cand. An entry whose receiver is still a candidate moves
+// to its new position intact: every entry keeps its own mobility, fade
+// and degradation stamps, so a carried entry is exactly as valid as it
+// was, and a geometry change that leaves a link alone costs it nothing.
+// A new receiver starts with an empty entry. Both lists are in dispatch
+// order, which is ascending slot order whenever ids ascend in slot
+// order, so one merge walk pairs them; a medium with out-of-order ids
+// (hand-assembled, never node-built) starts every entry afresh.
+func (m *Medium) carryGains(r *Radio, next []uint32, ln *lane) {
+	buf := resize(ln.gainBuf, len(next))
+	old := r.cand
+	if !m.idsMonotone {
+		old = nil
+	}
+	i := 0
+	for k, slot := range next {
+		for i < len(old) && old[i] < slot {
+			i++
+		}
+		if i < len(old) && old[i] == slot {
+			buf[k] = r.gains[i]
+		} else {
+			buf[k] = linkGain{}
+		}
+	}
+	ln.gainBuf = buf
+	r.gains = resize(r.gains, len(buf))
+	copy(r.gains, buf)
+}
+
+// resize returns s with length n, reallocating to exactly n only when
+// its capacity falls short. The contents are not preserved.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // sortCandidates puts a slot list gathered from the spatial index into
@@ -966,18 +1064,19 @@ func (m *Medium) sortCandidates(slots []uint32) {
 
 // propagate adds the radio in slot rxSlot to tx's receiver set, unless
 // the frame arrives so far under that receiver's noise floor that it
-// cannot shift any CCA, lock, or SINR decision there. The candidate
-// test runs entirely on the slot-indexed SoA arrays and the link-gain
-// row — for static link/epoch combinations already seen this run the
-// transcendental PHY arithmetic is skipped entirely, and the *Radio is
-// only dereferenced for candidates that survive the power cut. The
-// edges themselves are scheduled once per transmission by Transmit,
-// not once per receiver.
-func (m *Medium) propagate(tx *transmission, from *Radio, rxSlot int32, now time.Duration) {
+// cannot shift any CCA, lock, or SINR decision there. g is the
+// transmitter's link-gain entry for the receiver (nil on the
+// cache-disabled reference path). The candidate test runs entirely on
+// the slot-indexed SoA arrays and the gain entry — for static
+// link/epoch combinations already seen this run the transcendental PHY
+// arithmetic is skipped entirely, and the *Radio is only dereferenced
+// for candidates that survive the power cut. The edges themselves are
+// scheduled once per transmission by the caller, not once per receiver.
+func (m *Medium) propagate(tx *transmission, from *Radio, g *linkGain, rxSlot int32, now time.Duration) {
 	if rxSlot == from.slot {
 		return
 	}
-	p, g := m.linkPower(from, rxSlot, now)
+	p := m.linkPower(from, g, rxSlot, now)
 	if p < m.soaIrrel[rxSlot] {
 		return
 	}
@@ -1135,11 +1234,7 @@ func (r *Radio) interferenceFloorDBm(except *transmission) float64 {
 // the list empty, pins them back to exactly zero — no drift ever
 // accumulates).
 func (r *Radio) recomputeSums() {
-	if sh := r.shard; sh != nil {
-		sh.soaRescans++
-	} else {
-		r.m.soaRescans++
-	}
+	r.lane().soaRescans++
 	cca, interf := 0.0, 0.0
 	floor := r.lin.NoiseFloorMW
 	for _, a := range r.arrivals {

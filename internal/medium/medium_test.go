@@ -335,12 +335,20 @@ func TestLinkGainCacheMatchesDirect(t *testing.T) {
 	b := m.AddRadio(2, phy.Pos(35, 0), prof, &mockHandler{})
 	c := m.AddRadio(3, phy.Pos(10, 40), prof, &mockHandler{})
 
+	// One cache entry per directed link, kept across queries the way a
+	// transmitter's row keeps it.
+	entries := map[[2]*Radio]*linkGain{}
 	check := func(from, rx *Radio, now time.Duration) {
 		t.Helper()
 		d := phy.Dist(from.Pos(), rx.Pos())
 		want := from.Profile().RxPowerDBm(src, uint64(from.ID()), uint64(rx.ID()), d, now)
+		g := entries[[2]*Radio{from, rx}]
+		if g == nil {
+			g = new(linkGain)
+			entries[[2]*Radio{from, rx}] = g
+		}
 		for i := 0; i < 3; i++ { // repeat: later queries come from the cache
-			got, g := m.linkPower(from, rx.slot, now)
+			got := m.linkPower(from, g, rx.slot, now)
 			if got != want {
 				t.Fatalf("linkPower(%d->%d, %v) query %d = %v, want direct %v",
 					from.ID(), rx.ID(), now, i, got, want)
@@ -374,14 +382,11 @@ func TestLinkGainCacheMatchesDirect(t *testing.T) {
 		}
 	}
 
-	// The reference path (cache off) must agree too.
-	m.SetGainCache(false)
+	// The reference path (no entry) must agree too.
 	d := phy.Dist(a.Pos(), b.Pos())
 	want := prof.RxPowerDBm(src, 1, 2, d, 70*time.Millisecond)
-	got, g := m.linkPower(a, b.slot, 70*time.Millisecond)
-	if got != want || g != nil {
-		t.Fatalf("cache-off linkPower = (%v, %v), want (%v, nil)", got, g, want)
+	if got := m.linkPower(a, nil, b.slot, 70*time.Millisecond); got != want {
+		t.Fatalf("direct linkPower = %v, want %v", got, want)
 	}
-	m.SetGainCache(true)
 	check(a, b, 70*time.Millisecond)
 }

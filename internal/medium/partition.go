@@ -32,20 +32,20 @@ import (
 // the future — the exec's published-clock protocol then guarantees the
 // receiving region observes the sender's writes (the race detector job
 // in CI checks exactly this). The link-gain cache stays safe: each
-// gainRows row is written only by its transmitter's region (a radio
-// transmits only on its own region's goroutine, and distinct rows are
-// distinct elements of a fixed outer slice), and the receiver-side SoA
+// radio's gains row is written only by its own region (a radio
+// transmits only on its own region's goroutine, and a rebuild stages
+// through that region's shard scratch), and the receiver-side SoA
 // arrays a cache fill reads (position, mobility epoch, id) are
 // immutable while a partition is installed (mobility scenarios fall
 // back to the sequential kernel).
 
 // medShard is the per-region slice of the medium's mutable transmit
-// state: descriptor pool, sort scratch and counters, each touched only
-// by the owning region's goroutine — except returns, the locked list
-// through which remote regions hand descriptors back to their origin
-// pool so the targets capacity stays warm where the fan-out happens
-// (one short lock per finished transmission). The pad keeps two
-// shards' hot counters off one cache line.
+// state: descriptor pool, sort scratch, counters and the lane, each
+// touched only by the owning region's goroutine — except returns, the
+// locked list through which remote regions hand descriptors back to
+// their origin pool so the targets capacity stays warm where the
+// fan-out happens (one short lock per finished transmission). The pad
+// keeps two shards' hot counters off one cache line.
 type medShard struct {
 	freeTx   []*transmission
 	regCount []int32
@@ -55,13 +55,10 @@ type medShard struct {
 	deliveries    uint64
 	phyErrors     uint64
 
-	// Per-region mirrors of the medium's cache-efficiency counters
-	// (Medium.Stats) — owned by the region goroutine, folded with the
-	// aggregates above.
-	gainHits, gainMisses     uint64
-	fanReplays, fanBuilds    uint64
-	candReuses, candRebuilds uint64
-	soaRescans               uint64
+	// The region's lane: its mirrors of the medium's cache-efficiency
+	// counters, folded with the aggregates above, and its rebuild
+	// scratch.
+	lane
 
 	retMu   sync.Mutex
 	returns []*transmission
@@ -169,17 +166,7 @@ func (m *Medium) FoldCounters() {
 		m.Deliveries += sh.deliveries
 		m.PHYErrors += sh.phyErrors
 		sh.transmissions, sh.deliveries, sh.phyErrors = 0, 0, 0
-		m.gainHits += sh.gainHits
-		m.gainMisses += sh.gainMisses
-		m.fanReplays += sh.fanReplays
-		m.fanBuilds += sh.fanBuilds
-		m.candReuses += sh.candReuses
-		m.candRebuilds += sh.candRebuilds
-		m.soaRescans += sh.soaRescans
-		sh.gainHits, sh.gainMisses = 0, 0
-		sh.fanReplays, sh.fanBuilds = 0, 0
-		sh.candReuses, sh.candRebuilds = 0, 0
-		sh.soaRescans = 0
+		m.lane.fold(&sh.lane)
 	}
 }
 
@@ -258,13 +245,13 @@ func (tx *transmission) finishOn(sh *medShard) {
 }
 
 // partTransmit is the partitioned counterpart of the sequential body of
-// Radio.Transmit: same candidate query, same propagation arithmetic
-// (the results are bit-identical — the equivalence tests insist), but
-// the receiver set is split into per-region segments. The transmitter's
-// own region is dispatched on the local scheduler exactly like the
-// sequential path; every other region's segment crosses the boundary as
-// one exec message (the leading edge, timestamped one propagation bound
-// out), which schedules the trailing edge locally on arrival.
+// Radio.Transmit: the same fan-out (the results are bit-identical — the
+// equivalence tests insist), but the receiver set is split into
+// per-region segments. The transmitter's own region is dispatched on
+// the local scheduler exactly like the sequential path; every other
+// region's segment crosses the boundary as one exec message (the
+// leading edge, timestamped one propagation bound out), which schedules
+// the trailing edge locally on arrival.
 func (m *Medium) partTransmit(r *Radio, f *frame.Frame, rate phy.Rate) time.Duration {
 	if m.index == nil || m.indexDirty {
 		panic("medium: partitioned transmit without a live spatial index")
@@ -282,43 +269,10 @@ func (m *Medium) partTransmit(r *Radio, f *frame.Frame, rate phy.Rate) time.Dura
 	r.updateCCA()
 
 	tx := sh.newTransmission(r, f, rate, now+air)
-	// Same per-transmitter memo as the sequential path; only this
-	// radio's region goroutine services its transmissions, so the memo
-	// never races across shards.
-	slots := r.cand
-	if r.candEpoch != m.posEpoch {
-		slots = m.index.AppendWithin(r.cand[:0], r.pos, r.reach)
-		m.sortCandidates(slots)
-		r.cand = slots
-		r.candEpoch = m.posEpoch
-		sh.candRebuilds++
-	} else {
-		sh.candReuses++
-	}
-	var fade uint64
-	if pf := &r.profile.Fading; pf.SigmaDB != 0 {
-		fade = pf.FadeEpoch(now)
-	}
-	var degE uint64
-	if m.deg != nil {
-		degE = m.deg.globalEpoch(now)
-	}
-	if !m.gainCacheOff && r.fanEpoch == m.posEpoch && r.fanFade == fade && r.fanDeg == degE {
-		tx.targets = append(tx.targets, r.fan...)
-		sh.fanReplays++
-	} else {
-		if cap(tx.targets) < len(slots) {
-			tx.targets = make([]arrivalTarget, 0, len(slots))
-		}
-		for _, slot := range slots {
-			m.propagate(tx, r, int32(slot), now)
-		}
-		if !m.gainCacheOff {
-			r.fan = append(r.fan[:0], tx.targets...)
-			r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
-		}
-		sh.fanBuilds++
-	}
+	// Same memos as the sequential path; only this radio's region
+	// goroutine services its transmissions, so they never race across
+	// shards.
+	m.fanOut(r, tx, now)
 	r.txEndPending = sched.AtAction(now+air, &r.txEnd)
 	nt := len(tx.targets)
 	if nt == 0 {

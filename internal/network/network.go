@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"adhocsim/internal/frame"
 	"adhocsim/internal/mac"
@@ -67,9 +68,20 @@ func StationID(a Addr) (uint32, bool) {
 	return id, true
 }
 
-// String renders the address in dotted-quad notation.
+// String renders the address in dotted-quad notation. It is
+// hand-written rather than formatted because every station's build
+// names its TCP stream after it, and fmt dominated that cost at city
+// scale.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [len("255.255.255.255")]byte
+	b := buf[:0]
+	for shift := 24; shift >= 0; shift -= 8 {
+		if shift < 24 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(byte(a>>shift)), 10)
+	}
+	return string(b)
 }
 
 // Protocol identifies the payload's transport protocol, using the IANA

@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -271,5 +272,26 @@ func TestTTLExpiry(t *testing.T) {
 	}
 	if a.Dropped+b.Dropped == 0 {
 		t.Fatal("looping packet never dropped")
+	}
+}
+
+// TestAddrStringMatchesFmt pins the hand-written dotted-quad rendering
+// to the fmt form it replaced, byte for byte: the string names every
+// TCP endpoint's RNG stream, so any difference would re-key the ISS
+// draws.
+func TestAddrStringMatchesFmt(t *testing.T) {
+	want := func(a Addr) string {
+		return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	}
+	addrs := []Addr{0, 0xffffffff, 0x00ff00ff, 0xff00ff00, 0x0a000001, 0x7f000001,
+		0x09630a64, StationAddr(1), StationAddr(MaxStationID)}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 1000; i++ {
+		addrs = append(addrs, Addr(rng.Uint32()))
+	}
+	for _, a := range addrs {
+		if got, w := a.String(), want(a); got != w {
+			t.Fatalf("Addr(%#08x).String() = %q, want %q", uint32(a), got, w)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func WithMSS(mss int) Option { return func(n *Network) { n.MSS = mss } }
 // sim.KindCalendar) for every scheduler the network drives — the
 // global one and, in parallel mode, every region's. The backends are
 // bit-identical (the sim package's cross-backend tests insist); the
-// calendar queue is the right pick for city-scale event populations.
+// heap ties or beats the calendar queue on every shipped preset.
 func WithScheduler(k sim.Kind) Option { return func(n *Network) { n.schedKind = k } }
 
 // WithNeighborTable restores the explicit per-station neighbor wiring:

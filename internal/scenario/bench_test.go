@@ -34,9 +34,10 @@ func benchmarkRandom1024(b *testing.B, par *ParallelParams) {
 		b.Fatal(err)
 	}
 	spec.Parallel = par
+	logical := sequentialLogical(b, spec)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var fired, logical uint64
+	var fired uint64
 	for i := 0; i < b.N; i++ {
 		inst, err := Build(spec)
 		if err != nil {
@@ -46,36 +47,31 @@ func benchmarkRandom1024(b *testing.B, par *ParallelParams) {
 		inst.Net.Run(horizon)
 		inst.Collect(horizon)
 		fired = inst.Net.Fired()
-		logical = logicalEvents(inst)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fired), "ns/event")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(logical), "ns/logical-event")
 	b.ReportMetric(float64(fired), "events/run")
 }
 
-// logicalEvents reconstructs the pre-batching event stream the PR 4
-// ns/logical-event baseline divides by: every fired scheduler event,
-// minus the two pooled batch actions per transmission, plus the two
-// per-receiver arrival edges (start/end) batching folded into them.
-// Each arrival edge settles into exactly one radio verdict counter
-// (decoded, errored, or missed), so the verdict sum counts the edges;
-// only edges still in flight at the horizon are missed (on random-1024
-// this formula reproduces BENCH_PR4.json's 3695669-event reference
-// stream to within 16 events, 4 per mille of one percent).
-func logicalEvents(inst *Instance) uint64 {
-	var edges uint64
-	for _, st := range inst.Net.Stations {
-		edges += st.Radio.FramesDecoded + st.Radio.FramesErrored + st.Radio.FramesMissed
+// sequentialLogical returns the spec's logical event count from an
+// untimed sequential run: a parallel run's Fired count also holds the
+// executor's cross-region deliveries, so it cannot supply the
+// denominator itself.
+func sequentialLogical(b *testing.B, spec Spec) uint64 {
+	b.Helper()
+	logical, err := SequentialLogicalEvents(spec)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return inst.Net.Fired() - 2*inst.Net.Medium.Transmissions + 2*edges
+	return logical
 }
 
 // BenchmarkRandom16k is the PR 7 headline bench: the 16384-station city
-// preset at its full duration on its own configuration (calendar queue,
+// preset at its full duration on its own configuration (4-ary heap,
 // hierarchical index, incremental interference sums).
-// BenchmarkRandom16kHeap is the same workload on the 4-ary heap
-// reference backend — the pair isolates what the calendar queue buys at
-// city scale. BenchmarkClusteredBlocks100k is the 100k tier. All three
+// BenchmarkRandom16kCalendar is the same workload on the calendar
+// queue — the pair keeps the alternative backend measured against the
+// default. BenchmarkClusteredBlocks100k is the 100k tier. All three
 // build once and Reset per iteration, so ns/event is pure kernel cost
 // (the city benches guard the scheduler, not the construction path —
 // TestRandom16kBuildBudget guards that). A full-preset iteration runs
@@ -86,8 +82,8 @@ func BenchmarkRandom16k(b *testing.B) {
 	benchmarkCityKernel(b, "random-16k", "")
 }
 
-func BenchmarkRandom16kHeap(b *testing.B) {
-	benchmarkCityKernel(b, "random-16k", "heap")
+func BenchmarkRandom16kCalendar(b *testing.B) {
+	benchmarkCityKernel(b, "random-16k", "calendar")
 }
 
 func BenchmarkClusteredBlocks100k(b *testing.B) {
@@ -128,9 +124,10 @@ func benchmarkCityParallel(b *testing.B, name, part string) {
 	}
 	horizon := spec.Duration.D()
 	spec.Parallel = &ParallelParams{Workers: runtime.GOMAXPROCS(0), Partitioner: part}
+	logical := sequentialLogical(b, spec)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var fired, logical, windows, messages uint64
+	var fired, windows, messages uint64
 	var balance float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -142,7 +139,6 @@ func benchmarkCityParallel(b *testing.B, name, part string) {
 		inst.Net.Run(horizon)
 		inst.Collect(horizon)
 		fired = inst.Net.Fired()
-		logical = logicalEvents(inst)
 		if es := inst.ExecStats(); es != nil {
 			windows, messages, balance = es.Windows, es.Messages, es.LoadBalance
 		}
@@ -186,7 +182,7 @@ func benchmarkCityKernel(b *testing.B, name string, sched string) {
 		inst.Net.Run(horizon)
 		inst.Collect(horizon)
 		fired = inst.Net.Fired()
-		logical = logicalEvents(inst)
+		logical = LogicalEvents(inst)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fired), "ns/event")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(logical), "ns/logical-event")

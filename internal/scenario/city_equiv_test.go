@@ -11,7 +11,7 @@ import (
 )
 
 // The city-scale equivalence suite: every fast path the 16k/100k tier
-// leans on — the calendar queue, the hierarchical spatial index, the
+// can run on — the calendar queue, the hierarchical spatial index, the
 // incremental interference sums — must be bit-identical to its
 // reference implementation on the city presets themselves, not just on
 // the small unit fixtures. The presets are far too large for the
@@ -33,10 +33,10 @@ func cityShortSpec(t *testing.T, name string, horizon time.Duration) Spec {
 
 // TestRandom16kKernelToggles runs random-16k once per kernel toggle and
 // requires the result JSON byte-identical to the preset's own
-// configuration (calendar queue, hierarchical index, incremental sums):
+// configuration (4-ary heap, hierarchical index, incremental sums):
 //
 //   - calendar-vs-heap: the spec's "scheduler" block switched to the
-//     4-ary heap reference backend;
+//     calendar queue;
 //   - hierarchy-vs-flat: phy.SetHierarchy(false) forces every CellIndex
 //     query down the flat fine-grid reference path;
 //   - incremental-vs-recomputed: Medium.SetIncremental(false) forces
@@ -51,9 +51,9 @@ func TestRandom16kKernelToggles(t *testing.T) {
 
 	t.Run("calendar-vs-heap", func(t *testing.T) {
 		s := spec
-		s.Scheduler = "heap"
+		s.Scheduler = "calendar"
 		if got := runJSON(t, s); !bytes.Equal(base, got) {
-			t.Errorf("random-16k: heap-backend result differs from calendar")
+			t.Errorf("random-16k: calendar-backend result differs from heap")
 		}
 	})
 

@@ -76,10 +76,10 @@ func newObsPub(reg *obs.Registry) *obsPub {
 		soaRescans:    reg.Counter("medium_soa_rescans_total", "arrival-list energy-fold rebuilds at trailing edges"),
 		windowWall:    reg.Histogram("exec_window_wall_ns", "wall nanoseconds per executor window (worker 0)"),
 		barrierWait:   reg.Histogram("exec_barrier_wait_ns", "wall nanoseconds each worker waits per barrier crossing"),
-		crashes:      reg.Counter("faults_crashes_applied_total", "station crash edges applied"),
-		restarts:     reg.Counter("faults_restarts_applied_total", "station restart edges applied"),
-		outageStarts: reg.Counter("faults_outage_starts_applied_total", "flow outage start edges applied"),
-		outageEnd:    reg.Counter("faults_outage_ends_applied_total", "flow outage end edges applied"),
+		crashes:       reg.Counter("faults_crashes_applied_total", "station crash edges applied"),
+		restarts:      reg.Counter("faults_restarts_applied_total", "station restart edges applied"),
+		outageStarts:  reg.Counter("faults_outage_starts_applied_total", "flow outage start edges applied"),
+		outageEnd:     reg.Counter("faults_outage_ends_applied_total", "flow outage end edges applied"),
 		planned: [4]*obs.Counter{
 			reg.Counter("faults_crashes_planned_total", "station crash edges compiled into schedules"),
 			reg.Counter("faults_restarts_planned_total", "station restart edges compiled into schedules"),

@@ -300,19 +300,19 @@ func random1024() Spec {
 // random16k builds the random-16k preset: random-1024 scaled 16× in
 // area at the same station density (one station per ~11 300 m²), run
 // under the city profile so each transmission's relevance radius covers
-// its neighborhood rather than the whole field, and on the calendar
-// queue — the backend built for this event population. Like
-// random-1024 the flows declare NearestDst, so re-seeding re-pairs them
-// with viable links.
+// its neighborhood rather than the whole field, and on the 4-ary heap,
+// which ties or beats the calendar queue at this event population
+// (DESIGN.md has the measurements). Like random-1024 the flows declare
+// NearestDst, so re-seeding re-pairs them with viable links.
 func random16k() Spec {
 	s := Spec{
 		Name: "random-16k",
 		Description: "16384 stations scattered uniformly over a 13.6×13.6 km field at 1 Mbit/s under the city " +
-			"profile, sixteen paced nearest-neighbor flows on the calendar queue: the 16k tier of the city-scale kernel",
+			"profile, sixteen paced nearest-neighbor flows: the 16k tier of the city-scale kernel",
 		Seed:      42,
 		Duration:  Duration(2 * time.Second),
 		Profile:   ProfileCity,
-		Scheduler: "calendar",
+		Scheduler: "heap",
 		Topology:  Topology{Kind: KindRandomUniform, N: 16384, Width: 13600, Height: 13600},
 		MAC:       MACParams{RateMbps: 1},
 	}
@@ -331,7 +331,7 @@ func random16k() Spec {
 // clusteredBlocks100k builds the clustered-blocks-100k preset: a
 // 100 000-station city of 32×32 dense blocks (~98 stations within
 // 150 m of each block center) with ~850 m of empty street between
-// block centers, under the city profile on the calendar queue. Each
+// block centers, under the city profile on the 4-ary heap. Each
 // block is its own contention domain — PCS_range 190 m spans one block,
 // never its neighbor — and the block grid's consecutive station
 // assignment keeps index locality equal to spatial locality. The
@@ -341,11 +341,11 @@ func clusteredBlocks100k() Spec {
 	s := Spec{
 		Name: "clustered-blocks-100k",
 		Description: "100000 stations in 1024 dense city blocks over a 27.2×27.2 km field at 1 Mbit/s under the " +
-			"city profile, 32 paced nearest-neighbor flows on the calendar queue: the 100k tier of the city-scale kernel",
+			"city profile, 32 paced nearest-neighbor flows: the 100k tier of the city-scale kernel",
 		Seed:      42,
 		Duration:  Duration(time.Second),
 		Profile:   ProfileCity,
-		Scheduler: "calendar",
+		Scheduler: "heap",
 		Topology: Topology{Kind: KindClusteredBlocks, N: 100000,
 			Rows: 32, Cols: 32, Width: 27200, Height: 27200, Radius: 150},
 		MAC: MACParams{RateMbps: 1},

@@ -394,8 +394,9 @@ type Spec struct {
 
 	// Scheduler selects the event-queue backend every scheduler of the
 	// run uses: "heap" (the 4-ary reference backend, the default) or
-	// "calendar" (the calendar queue, O(1) near-future scheduling — the
-	// right pick at city-scale event populations). The backends are
+	// "calendar" (the calendar queue, O(1) near-future scheduling, kept
+	// as a measured alternative: on the shipped city presets it ties or
+	// loses to the heap). The backends are
 	// bit-identical; the sim package's cross-backend tests and the
 	// scenario toggle-equivalence tests insist on it.
 	Scheduler string `json:"scheduler,omitempty"`

@@ -90,16 +90,16 @@ type calendar struct {
 	occ         []uint64 // occupancy bitmap: bit b set iff buckets[b] is non-empty
 	bucketStore [][]heapEntry
 	occStore    []uint64
-	overflow    []heapEntry // sorted ascending by less
-	scratch     []heapEntry // resize staging; retained so re-files stop allocating
-	width    time.Duration // bucket span; changes only on a full re-file
-	lap      time.Duration // width * len(buckets), saturated
-	inRing   int
-	avgGap   time.Duration // windowed mean inter-dequeue gap
-	anchorAt time.Duration // window start: the dequeue timestamp pops ago
-	popped   bool          // any dequeue since Reset (anchors the window)
-	pops     int           // dequeues since anchorAt
-	adaptAt  int           // window length that triggers the next check
+	overflow    []heapEntry   // sorted ascending by less
+	scratch     []heapEntry   // resize staging; retained so re-files stop allocating
+	width       time.Duration // bucket span; changes only on a full re-file
+	lap         time.Duration // width * len(buckets), saturated
+	inRing      int
+	avgGap      time.Duration // windowed mean inter-dequeue gap
+	anchorAt    time.Duration // window start: the dequeue timestamp pops ago
+	popped      bool          // any dequeue since Reset (anchors the window)
+	pops        int           // dequeues since anchorAt
+	adaptAt     int           // window length that triggers the next check
 }
 
 func newCalendar() *calendar {

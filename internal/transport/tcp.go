@@ -108,11 +108,11 @@ type connKey struct {
 
 // TCP is one station's TCP instance.
 type TCP struct {
-	sched *sim.Scheduler
-	stack *network.Stack
+	sched  *sim.Scheduler
+	stack  *network.Stack
 	rng    *rand.Rand
 	rngKey sim.StreamKey // pre-hashed stream name, for allocation-free Reset
-	mss   int
+	mss    int
 
 	conns     map[connKey]*Conn
 	listeners map[uint16]func(*Conn)
