@@ -28,7 +28,12 @@ type benchPreset struct {
 	Preset     string    `json:"preset"`
 	Sequential *benchLeg `json:"sequential,omitempty"`
 	Parallel   *benchLeg `json:"parallel,omitempty"`
+	Note       string    `json:"note,omitempty"`
 }
+
+// parallelLogicalNote qualifies a parallel leg's per-event figures.
+const parallelLogicalNote = "logical_events_per_run is counted on a sequential run of the same spec and seed; " +
+	"the parallel kernel can order same-instant events differently, so the per-event figures are approximate"
 
 // runBenchJSON benchmarks the resolved scenario (see benchScenario) and
 // writes a document in the schema of the repo's BENCH_PR*.json
@@ -44,6 +49,7 @@ func runBenchJSON(spec scenario.Spec, iters int, out string, status *obs.Status)
 	entry := benchPreset{Preset: spec.Name}
 	if parallel {
 		entry.Parallel = leg
+		entry.Note = parallelLogicalNote
 	} else {
 		entry.Sequential = leg
 	}
@@ -82,6 +88,8 @@ func runBenchJSON(spec scenario.Spec, iters int, out string, status *obs.Status)
 // divide by scenario.LogicalEvents; a parallel run takes that count
 // from an untimed sequential run of the same spec and seed, because
 // its own Fired count includes the executor's cross-region deliveries.
+// That count is approximate for a parallel run (see
+// scenario.SequentialLogicalEvents), and the document says so.
 func benchScenario(spec scenario.Spec, iters int, status *obs.Status) (*benchLeg, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err

@@ -58,13 +58,13 @@ func TestGainRowsSizedByCandidates(t *testing.T) {
 	}
 }
 
-// TestGainEntriesSurviveCandidateRebuild moves radios after a
+// TestGainRowKeptAcrossUnchangedRebuild moves radios after a
 // transmitter has filled its row. Every move bumps the geometry epoch,
 // so the transmitter's next fan-out rebuilds its candidate list and
-// re-probes every candidate; entries carried over that rebuild must
-// serve those probes from cache. Only a link whose endpoint moved, or a
-// receiver new to the candidate set, may recompute its path-loss base.
-func TestGainEntriesSurviveCandidateRebuild(t *testing.T) {
+// re-probes every candidate. A rebuild that finds the same list keeps
+// the row, so only a link whose endpoint moved may recompute its
+// path-loss base; a rebuild that changes the list starts the row afresh.
+func TestGainRowKeptAcrossUnchangedRebuild(t *testing.T) {
 	sched, m, radios := newGridField(16)
 	tx := radios[0] // corner station at (0, 0)
 	send := func() {
@@ -80,7 +80,7 @@ func TestGainEntriesSurviveCandidateRebuild(t *testing.T) {
 		}
 		return false
 	}
-	step := func(name string, move func(), wantMisses uint64) {
+	step := func(name string, move func(), wantMisses func() uint64) {
 		t.Helper()
 		before := m.Stats()
 		epoch := m.posEpoch
@@ -94,22 +94,20 @@ func TestGainEntriesSurviveCandidateRebuild(t *testing.T) {
 			t.Fatalf("%s: candidate rebuilds +%d, fan builds +%d; want +1 each",
 				name, after.CandRebuilds-before.CandRebuilds, after.FanBuilds-before.FanBuilds)
 		}
-		if got := after.GainMisses - before.GainMisses; got != wantMisses {
-			t.Fatalf("%s: fan-out added %d gain misses, want %d", name, got, wantMisses)
-		}
-		if after.GainHits == before.GainHits {
-			t.Fatalf("%s: fan-out served no lookups from cache", name)
+		if got, want := after.GainMisses-before.GainMisses, wantMisses(); got != want {
+			t.Fatalf("%s: fan-out added %d gain misses, want %d", name, got, want)
 		}
 		if len(tx.gains) != len(tx.cand) {
 			t.Fatalf("%s: %d gain entries for %d candidates", name, len(tx.gains), len(tx.cand))
 		}
 	}
+	misses := func(n uint64) func() uint64 { return func() uint64 { return n } }
 
 	far := radios[len(radios)-1] // opposite corner, ~15 km away
 	if inCand(far) {
 		t.Fatal("far corner is a candidate; the field is too small for the test")
 	}
-	step("move outside the candidate set", func() { far.SetPos(phy.Pos(10400, 10300)) }, 0)
+	step("move outside the candidate set", func() { far.SetPos(phy.Pos(10400, 10300)) }, misses(0))
 	if inCand(far) {
 		t.Fatal("far radio joined the candidate set")
 	}
@@ -118,10 +116,75 @@ func TestGainEntriesSurviveCandidateRebuild(t *testing.T) {
 	if !inCand(near) {
 		t.Fatal("neighbor is not a candidate")
 	}
-	step("move within the candidate set", func() { near.SetPos(phy.Pos(650, 20)) }, 1)
+	step("move within the candidate set", func() { near.SetPos(phy.Pos(650, 20)) }, misses(1))
 
-	step("move into the candidate set", func() { far.SetPos(phy.Pos(300, 300)) }, 1)
+	// Every receiver in the new list recomputes; the transmitter's own
+	// slot is a candidate but never probed.
+	step("move into the candidate set", func() { far.SetPos(phy.Pos(300, 300)) },
+		func() uint64 { return uint64(len(tx.cand) - 1) })
 	if !inCand(far) {
 		t.Fatal("far radio did not join the candidate set")
+	}
+
+	// A receiver leaving from the middle of the list shifts every later
+	// entry: none of the old row may be served to the wrong receiver.
+	step("move out of the candidate set", func() { near.SetPos(phy.Pos(10400, 10300)) },
+		func() uint64 { return uint64(len(tx.cand) - 1) })
+	if inCand(near) {
+		t.Fatal("neighbor stayed in the candidate set")
+	}
+}
+
+// TestGainCacheToggleRekeysRows runs a transmitter with the cache off
+// while its candidate list changes: no row is kept on that path, and
+// re-enabling the cache keys the row to the current list.
+func TestGainCacheToggleRekeysRows(t *testing.T) {
+	sched, m, radios := newGridField(16)
+	tx := radios[0]
+	send := func() {
+		tx.Transmit(dataFrame(tx.ID(), tx.ID()+1, 256), phy.Rate11)
+		sched.Run()
+	}
+	m.SetGainCache(false)
+	send()
+	if len(tx.gains) != 0 {
+		t.Fatalf("cache off: transmitter holds %d gain entries, want none", len(tx.gains))
+	}
+	m.SetGainCache(true)
+	send()
+	want := len(tx.cand)
+	m.SetGainCache(false)
+	radios[1].SetPos(phy.Pos(10400, 10300)) // leaves the candidate set
+	send()
+	if len(tx.cand) != want-1 {
+		t.Fatalf("candidate list has %d entries after the move, want %d", len(tx.cand), want-1)
+	}
+	m.SetGainCache(true)
+	if len(tx.gains) != len(tx.cand) {
+		t.Fatalf("re-enabled cache: %d gain entries for %d candidates", len(tx.gains), len(tx.cand))
+	}
+	before := m.Stats()
+	send()
+	if got, want := m.Stats().GainMisses-before.GainMisses, uint64(len(tx.cand)-1); got != want {
+		t.Fatalf("re-enabled cache: fan-out added %d gain misses, want %d", got, want)
+	}
+}
+
+// TestBruteForceProbesEveryTransmission keeps the exhaustive path an
+// independent reference for the fan-out memo: a repeat transmission on
+// an unchanged field re-probes every radio instead of replaying.
+func TestBruteForceProbesEveryTransmission(t *testing.T) {
+	sched, m, radios := newGridField(4)
+	m.SetBruteForce(true)
+	tx := radios[0]
+	for i := 0; i < 3; i++ {
+		tx.Transmit(dataFrame(tx.ID(), tx.ID()+1, 256), phy.Rate11)
+		sched.Run()
+	}
+	if st := m.Stats(); st.FanReplays != 0 || st.FanBuilds != 3 {
+		t.Fatalf("brute force: %d fan-out replays, %d builds; want 0 and 3", st.FanReplays, st.FanBuilds)
+	}
+	if len(tx.cand) != len(radios) || len(tx.gains) != len(radios) {
+		t.Fatalf("brute force: %d candidates, %d gain entries; want every slot (%d)", len(tx.cand), len(tx.gains), len(radios))
 	}
 }

@@ -168,10 +168,10 @@ type Medium struct {
 
 // lane is the medium state one event-loop goroutine owns: the
 // out-of-band cache-efficiency counters behind Stats, and the scratch a
-// candidate-memo rebuild stages its new list and link-gain row in. The
-// medium holds one for sequential mode; in parallel mode every region
-// shard holds its own, so none of it needs atomics. The counters are
-// observability only — nothing reads them on a simulation path.
+// candidate-memo rebuild gathers its new list in. The medium holds one
+// for sequential mode; in parallel mode every region shard holds its
+// own, so none of it needs atomics. The counters are observability
+// only — nothing reads them on a simulation path.
 type lane struct {
 	gainHits, gainMisses     uint64
 	fanReplays, fanBuilds    uint64
@@ -179,7 +179,6 @@ type lane struct {
 	soaRescans               uint64
 
 	candBuf []uint32
-	gainBuf []linkGain
 }
 
 // clearCounters zeroes the lane's counters, keeping its scratch.
@@ -254,8 +253,11 @@ func (m *Medium) Now() time.Duration { return m.sched.Now() }
 // SetBruteForce disables (true) or re-enables (false) the spatial
 // neighbor index, forcing Transmit back to exhaustive per-radio
 // propagation in radio insertion order — the pre-index reference
-// behaviour. It exists for verification: the mobility equivalence tests
-// run the same seed with and without the index and require identical
+// behaviour: every radio is probed on every transmission, with no
+// spatial query and no fan-out replay. Link-gain entries are still
+// used on this path; SetGainCache(false) is the reference that checks
+// them. It exists for verification: the mobility equivalence tests run
+// the same seed with and without the index and require identical
 // metrics. Production callers never need it.
 func (m *Medium) SetBruteForce(on bool) {
 	m.bruteForce = on
@@ -269,7 +271,8 @@ func (m *Medium) SetBruteForce(on bool) {
 // Like SetBruteForce it exists for verification: the equivalence tests
 // run the same seed with the cache on and off and require identical
 // metrics (including sim.Scheduler.Fired). Production callers never
-// need it. Re-enabling invalidates any stale entries.
+// need it. While the cache is off the rows are left alone; re-enabling
+// empties them and keys them to the current candidate lists.
 func (m *Medium) SetGainCache(on bool) {
 	m.gainCacheOff = !on
 	m.invalidateGains()
@@ -289,13 +292,16 @@ func (m *Medium) SetIncremental(on bool) {
 	}
 }
 
-// invalidateGains marks every link-gain entry stale without releasing
-// the allocated per-transmitter rows.
+// invalidateGains empties every radio's link-gain row, sized to its
+// candidate list, keeping the allocated rows. A no-op while the cache
+// is off.
 func (m *Medium) invalidateGains() {
+	if m.gainCacheOff {
+		return
+	}
 	for _, r := range m.radios {
-		for i := range r.gains {
-			r.gains[i].have = 0
-		}
+		r.gains = resize(r.gains, len(r.cand))
+		clear(r.gains)
 	}
 }
 
@@ -575,9 +581,9 @@ type Radio struct {
 
 	// gains is this radio's row of the link-gain cache, parallel to
 	// cand: gains[k] caches the link to the receiver in slot cand[k].
-	// A row costs one entry per candidate, not per radio on the field,
-	// and a candidate rebuild carries every surviving receiver's entry
-	// over (see carryGains). Same ownership as cand.
+	// A row costs one entry per candidate, not per radio on the field.
+	// A rebuild that changes the candidate list empties the row; one
+	// that finds the same list keeps it. Same ownership as cand.
 	gains []linkGain
 
 	// fan memoizes this radio's full propagation fan-out: the candidates
@@ -588,9 +594,9 @@ type Radio struct {
 	// of one transmitter's links fade on its own profile's clock), so
 	// while both stamps stand still, replaying the memo is bit-identical
 	// to re-running the per-candidate power probes. Disabled alongside
-	// the gain cache so the reference path stays a genuinely direct
-	// computation; race-free in partitioned mode for the same reason the
-	// candidate memo is.
+	// the gain cache and on the exhaustive path, so both reference paths
+	// stay genuinely direct computations; race-free in partitioned mode
+	// for the same reason the candidate memo is.
 	fan      []arrivalTarget
 	fanEpoch uint64 // posEpoch the fan was computed at (0 = never)
 	fanFade  uint64 // transmitter-profile fade epoch of the memo
@@ -939,9 +945,12 @@ func (r *Radio) Transmit(f *frame.Frame, rate phy.Rate) time.Duration {
 // recorded; each target is a pure function of those, so the replay is
 // bit-identical to re-probing every candidate. Otherwise every candidate
 // is probed through its link-gain entry and the memo is re-recorded.
+// Neither reference path (gain cache off, no spatial index) uses the
+// memo.
 func (m *Medium) fanOut(r *Radio, tx *transmission, now time.Duration) {
 	ln := r.lane()
 	slots := m.candidates(r, ln)
+	memo := !m.gainCacheOff && m.index != nil
 	var fade uint64
 	if pf := &r.profile.Fading; pf.SigmaDB != 0 {
 		fade = pf.FadeEpoch(now)
@@ -950,7 +959,7 @@ func (m *Medium) fanOut(r *Radio, tx *transmission, now time.Duration) {
 	if m.deg != nil {
 		degE = m.deg.globalEpoch(now)
 	}
-	if !m.gainCacheOff && r.fanEpoch == m.posEpoch && r.fanFade == fade && r.fanDeg == degE {
+	if memo && r.fanEpoch == m.posEpoch && r.fanFade == fade && r.fanDeg == degE {
 		tx.targets = append(tx.targets, r.fan...)
 		ln.fanReplays++
 		return
@@ -965,7 +974,7 @@ func (m *Medium) fanOut(r *Radio, tx *transmission, now time.Duration) {
 		}
 		m.propagate(tx, r, g, int32(slot), now)
 	}
-	if !m.gainCacheOff {
+	if memo {
 		r.fan = append(r.fan[:0], tx.targets...)
 		r.fanEpoch, r.fanFade, r.fanDeg = m.posEpoch, fade, degE
 	}
@@ -997,44 +1006,15 @@ func (m *Medium) candidates(r *Radio, ln *lane) []uint32 {
 	}
 	ln.candBuf = next
 	if !slices.Equal(next, r.cand) {
-		m.carryGains(r, next, ln)
-		r.cand = resize(r.cand, len(next))
-		copy(r.cand, next)
+		r.cand, ln.candBuf = next, r.cand
+		if !m.gainCacheOff {
+			r.gains = resize(r.gains, len(next))
+			clear(r.gains)
+		}
 	}
 	r.candEpoch = m.posEpoch
 	ln.candRebuilds++
 	return r.cand
-}
-
-// carryGains re-keys r's link-gain row to next, the candidate list about
-// to replace r.cand. An entry whose receiver is still a candidate moves
-// to its new position intact: every entry keeps its own mobility, fade
-// and degradation stamps, so a carried entry is exactly as valid as it
-// was, and a geometry change that leaves a link alone costs it nothing.
-// A new receiver starts with an empty entry. Both lists are in dispatch
-// order, which is ascending slot order whenever ids ascend in slot
-// order, so one merge walk pairs them; a medium with out-of-order ids
-// (hand-assembled, never node-built) starts every entry afresh.
-func (m *Medium) carryGains(r *Radio, next []uint32, ln *lane) {
-	buf := resize(ln.gainBuf, len(next))
-	old := r.cand
-	if !m.idsMonotone {
-		old = nil
-	}
-	i := 0
-	for k, slot := range next {
-		for i < len(old) && old[i] < slot {
-			i++
-		}
-		if i < len(old) && old[i] == slot {
-			buf[k] = r.gains[i]
-		} else {
-			buf[k] = linkGain{}
-		}
-	}
-	ln.gainBuf = buf
-	r.gains = resize(r.gains, len(buf))
-	copy(r.gains, buf)
 }
 
 // resize returns s with length n, reallocating to exactly n only when

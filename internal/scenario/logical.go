@@ -24,8 +24,10 @@ func LogicalEvents(inst *Instance) uint64 {
 
 // SequentialLogicalEvents builds spec on the sequential kernel, runs it
 // to its horizon and returns LogicalEvents. It is the denominator of a
-// per-event cost for any kernel: a parallel run of the same spec and
-// seed does the same logical work.
+// per-event cost for a parallel run too, but there only approximately:
+// the parallel kernel can still order same-instant events differently
+// (ROADMAP item 4), so some seeds do somewhat different work than the
+// sequential run counted here.
 func SequentialLogicalEvents(spec Spec) (uint64, error) {
 	spec.Parallel = nil
 	inst, err := Build(spec)
